@@ -18,19 +18,18 @@
 //! [`KernelArm`] so one binary serves both paths and the oracle tests
 //! can force either:
 //!
-//! * [`KernelArm::Scalar`] — the plain per-slot loop (autovectorizable,
-//!   the PR 6 baseline).
-//! * [`KernelArm::Simd`] — explicit data parallelism. Compiled with the
-//!   `simd` cargo feature on `x86_64`, this arm runs SSE2 intrinsics:
-//!   kind and liveness columns are compared 16 bytes per instruction
-//!   ([`Kind`] is `#[repr(u8)]`, see [`PreChunk::kinds_bytes`]), name
-//!   columns 4 ids per instruction, and the numeric value comparisons
-//!   behind `ValueProbe` scan arms ([`in_range_mask`]) 2 doubles per
-//!   instruction. Without the feature (or off x86_64) the *same arm*
-//!   dispatches to a hand-unrolled scalar implementation compiled in
-//!   this module — bit-identical results, so both arms always build and
+//! * [`KernelArm::Scalar`] — the plain per-slot loop (autovectorizable),
+//!   the reference every other arm must match bit for bit.
+//! * [`KernelArm::Simd`] — explicit data parallelism. On `x86_64` this
+//!   arm runs SSE2 intrinsics (SSE2 is the x86_64 baseline, so there is
+//!   no runtime CPU detection): kind and liveness columns are compared
+//!   16 bytes per instruction ([`Kind`] is `#[repr(u8)]`, see
+//!   [`PreChunk::kinds_bytes`]), name columns 4 ids per instruction,
+//!   and the numeric value comparisons behind `ValueProbe` scan arms
+//!   ([`in_range_mask`]) 2 doubles per instruction. On other
+//!   architectures the arm dispatches to the scalar loop, so
 //!   `KernelArm::Simd` is always safe to force. [`simd_compiled`]
-//!   reports which implementation is live.
+//!   reports whether vector instructions are live.
 //!
 //! All loads are unaligned ([`PreChunk`] slices start at arbitrary
 //! offsets inside a page); the chunk contract only guarantees that a
@@ -54,8 +53,8 @@ use mbxq_storage::{Kind, NumRange, PreChunk, TreeView};
 pub enum KernelArm {
     /// The plain per-slot scalar loop.
     Scalar,
-    /// The vectorized kernels (SSE2 when compiled with the `simd`
-    /// feature on x86_64; a hand-unrolled scalar equivalent otherwise).
+    /// The vectorized kernels (SSE2 on x86_64; the scalar loop on
+    /// other architectures).
     Simd,
 }
 
@@ -79,11 +78,11 @@ impl Default for KernelArm {
 }
 
 /// Whether the [`KernelArm::Simd`] arm runs actual vector instructions
-/// in this build (`simd` feature on x86_64), as opposed to its
-/// hand-unrolled scalar fallback.
+/// in this build (x86_64), as opposed to falling back to the scalar
+/// loop.
 #[inline]
 pub const fn simd_compiled() -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64"))
+    cfg!(target_arch = "x86_64")
 }
 
 /// Byte lanes per vector in the kind/liveness filters of the compiled
@@ -157,13 +156,9 @@ fn emit_matching(chunk: &PreChunk<'_>, out: &mut Vec<u64>, mut pred: impl FnMut(
     }
 }
 
-/// The [`KernelArm::Simd`] kernels. Two implementations share this
-/// interface: SSE2 intrinsics under `--features simd` on x86_64, and a
-/// hand-unrolled scalar equivalent otherwise — compiled in the same
-/// module so both arms always build (module docs).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// The SSE2 [`KernelArm::Simd`] kernels (module docs).
+#[cfg(target_arch = "x86_64")]
 mod vector {
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
     /// Appends `pre + i` for every slot with `kinds[i] == want_kind`,
@@ -301,105 +296,17 @@ mod vector {
     }
 }
 
-/// The hand-unrolled scalar fallback for the [`KernelArm::Simd`] arm —
-/// same interface and results as the intrinsics module, compiled when
-/// the `simd` feature is off or the target is not x86_64.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-mod vector {
-    /// See the SSE2 twin: kind/name/liveness filter, here as a 4-wide
-    /// hand-unrolled scalar loop.
-    pub(super) fn filter(
-        kinds: &[u8],
-        names: &[u32],
-        used: Option<&[u8]>,
-        want_kind: u8,
-        want_name: Option<u32>,
-        pre: u64,
-        out: &mut Vec<u64>,
-    ) {
-        let len = kinds.len();
-        let slot = |i: usize, out: &mut Vec<u64>| {
-            let live = used.is_none_or(|u| u[i] != 0);
-            if live && kinds[i] == want_kind && want_name.is_none_or(|w| names[i] == w) {
-                out.push(pre + i as u64);
-            }
-        };
-        let mut i = 0usize;
-        while i + 4 <= len {
-            slot(i, out);
-            slot(i + 1, out);
-            slot(i + 2, out);
-            slot(i + 3, out);
-            i += 4;
-        }
-        while i < len {
-            slot(i, out);
-            i += 1;
-        }
-    }
-
-    /// See the SSE2 twin: liveness filter, 4-wide unrolled.
-    pub(super) fn filter_used(used: &[u8], pre: u64, out: &mut Vec<u64>) {
-        let len = used.len();
-        let slot = |i: usize, out: &mut Vec<u64>| {
-            if used[i] != 0 {
-                out.push(pre + i as u64);
-            }
-        };
-        let mut i = 0usize;
-        while i + 4 <= len {
-            slot(i, out);
-            slot(i + 1, out);
-            slot(i + 2, out);
-            slot(i + 3, out);
-            i += 4;
-        }
-        while i < len {
-            slot(i, out);
-            i += 1;
-        }
-    }
-
-    /// See the SSE2 twin: numeric range mask, 4-wide unrolled.
-    pub(super) fn range_mask(
-        vals: &[f64],
-        lo: f64,
-        hi: f64,
-        lo_incl: bool,
-        hi_incl: bool,
-        keep: &mut Vec<bool>,
-    ) {
-        let test = |v: f64| {
-            let above = if lo_incl { v >= lo } else { v > lo };
-            let below = if hi_incl { v <= hi } else { v < hi };
-            above && below
-        };
-        let len = vals.len();
-        let mut i = 0usize;
-        while i + 4 <= len {
-            keep.push(test(vals[i]));
-            keep.push(test(vals[i + 1]));
-            keep.push(test(vals[i + 2]));
-            keep.push(test(vals[i + 3]));
-            i += 4;
-        }
-        while i < len {
-            keep.push(test(vals[i]));
-            i += 1;
-        }
-    }
-}
-
 /// Writes `range.contains(vals[i])` for every value into `keep` — the
 /// numeric value-column comparison behind `ValueProbe` scan arms,
 /// dispatched by kernel arm (two doubles per SSE2 compare on the
 /// vector arm). NaN entries (unparsable strings) never match.
 pub fn in_range_mask(vals: &[f64], range: &NumRange, arm: KernelArm, keep: &mut Vec<bool>) {
     match arm {
-        KernelArm::Scalar => keep.extend(vals.iter().map(|&v| range.contains(v))),
+        #[cfg(target_arch = "x86_64")]
         KernelArm::Simd => {
             vector::range_mask(vals, range.lo, range.hi, range.lo_incl, range.hi_incl, keep)
         }
+        _ => keep.extend(vals.iter().map(|&v| range.contains(v))),
     }
 }
 
@@ -502,15 +409,7 @@ fn filter_chunk<V: TreeView + ?Sized>(
         return emit_matching(chunk, out, |i| test.matches(view, chunk.pre + i as u64));
     }
     match arm {
-        KernelArm::Scalar => match probe {
-            Probe::Elem(want) => emit_matching(chunk, out, |i| {
-                chunk.kinds[i] == Kind::Element && chunk.names[i] == *want
-            }),
-            Probe::AnyElement => emit_matching(chunk, out, |i| chunk.kinds[i] == Kind::Element),
-            Probe::OfKind(k) => emit_matching(chunk, out, |i| chunk.kinds[i] == *k),
-            Probe::AnyNode => emit_matching(chunk, out, |_| true),
-            Probe::Slow | Probe::Empty => unreachable!(),
-        },
+        #[cfg(target_arch = "x86_64")]
         KernelArm::Simd => {
             let kinds = chunk.kinds_bytes();
             let used = chunk.used_bytes();
@@ -543,6 +442,16 @@ fn filter_chunk<V: TreeView + ?Sized>(
                 Probe::Slow | Probe::Empty => unreachable!(),
             }
         }
+        // Scalar, and Simd off x86_64.
+        _ => match probe {
+            Probe::Elem(want) => emit_matching(chunk, out, |i| {
+                chunk.kinds[i] == Kind::Element && chunk.names[i] == *want
+            }),
+            Probe::AnyElement => emit_matching(chunk, out, |i| chunk.kinds[i] == Kind::Element),
+            Probe::OfKind(k) => emit_matching(chunk, out, |i| chunk.kinds[i] == *k),
+            Probe::AnyNode => emit_matching(chunk, out, |_| true),
+            Probe::Slow | Probe::Empty => unreachable!(),
+        },
     }
 }
 

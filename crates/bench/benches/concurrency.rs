@@ -5,7 +5,7 @@
 use mbxq_bench::harness::{BenchmarkId, Criterion};
 use mbxq_bench::{criterion_group, criterion_main};
 use mbxq_storage::{InsertPosition, PageConfig, PagedDoc};
-use mbxq_txn::{wal::Wal, AncestorLockMode, Store, StoreConfig};
+use mbxq_txn::{wal::Wal, AncestorLockMode, Shard, StoreConfig};
 use mbxq_xml::Document;
 use mbxq_xpath::XPath;
 use std::time::Duration;
@@ -13,7 +13,7 @@ use std::time::Duration;
 const WORKERS: usize = 4;
 const TXNS_PER_WORKER: usize = 10;
 
-fn build_store(mode: AncestorLockMode) -> Store {
+fn build_store(mode: AncestorLockMode) -> Shard {
     let mut xml = String::from("<site><regions>");
     for w in 0..WORKERS {
         xml.push_str(&format!("<region{w}>"));
@@ -24,7 +24,7 @@ fn build_store(mode: AncestorLockMode) -> Store {
     }
     xml.push_str("</regions></site>");
     let doc = PagedDoc::parse_str(&xml, PageConfig::new(512, 80).unwrap()).unwrap();
-    Store::open(
+    Shard::open(
         doc,
         Wal::in_memory(),
         StoreConfig {
@@ -36,7 +36,7 @@ fn build_store(mode: AncestorLockMode) -> Store {
     )
 }
 
-fn run_burst(store: &Store) {
+fn run_burst(store: &Shard) {
     std::thread::scope(|s| {
         for w in 0..WORKERS {
             s.spawn(move || {

@@ -20,7 +20,7 @@
 use mbxq_bench::paper_page_config;
 use mbxq_storage::{InsertPosition, PagedDoc, TreeView};
 use mbxq_txn::wal::Wal;
-use mbxq_txn::{AncestorLockMode, Store, StoreConfig};
+use mbxq_txn::{AncestorLockMode, Shard, StoreConfig};
 use mbxq_xmark::{generate, XMarkConfig};
 use mbxq_xml::Document;
 use mbxq_xpath::XPath;
@@ -73,7 +73,7 @@ fn main() {
         let doc = PagedDoc::parse_str(&xml, paper_page_config()).expect("shred XMark");
         let nodes = doc.used_count();
         let pages = doc.stats().pages;
-        let store = Store::open(doc, Wal::in_memory(), store_config());
+        let store = Shard::open(doc, Wal::in_memory(), store_config());
 
         // One instrumented commit: how many column pages did publishing
         // actually privatize?

@@ -17,9 +17,9 @@
 //! queries run under [`KernelChoice::ForceScalar`] and
 //! [`KernelChoice::ForceSimd`] — sequentially (the micro-bench columns
 //! `kernel_scalar_ns` / `kernel_simd_ns`) and inside every pooled
-//! arm × thread-count cell. With the `simd` feature off the forced-simd
-//! arm runs the unrolled scalar twin, so the grid stays meaningful (and
-//! bit-identical) on every build.
+//! arm × thread-count cell. Off x86_64 the forced-simd arm runs the
+//! scalar loop, so the grid stays meaningful (and bit-identical) on
+//! every build.
 //!
 //! Each cell asserts its node set equals the sequential scalar arm's —
 //! the ordering guarantee (morsels are merged in morsel order, which is
@@ -101,7 +101,7 @@ struct Row {
     /// Sequential staircase scan under the forced scalar kernel.
     kernel_scalar_ns: u128,
     /// Sequential staircase scan under the forced simd kernel (the
-    /// unrolled scalar twin when the `simd` feature is off).
+    /// scalar loop off x86_64).
     kernel_simd_ns: u128,
     /// Vectorized-kernel dispatches counted under the forced simd arm.
     simd_steps: u64,

@@ -102,29 +102,6 @@ fn run_client(
     log
 }
 
-/// Replaces any previous server rows in `BENCH_workload.json` with
-/// `rows` — the file is one JSON object per line, so the merge is
-/// line-based and leaves every other bench's rows untouched.
-fn merge_into_workload_json(rows: &[String]) {
-    let path = "BENCH_workload.json";
-    let mut lines: Vec<String> = std::fs::read_to_string(path)
-        .map(|text| {
-            text.lines()
-                .map(|l| l.trim_end().trim_end_matches(',').to_string())
-                .filter(|l| {
-                    let t = l.trim();
-                    t != "[" && t != "]" && !t.is_empty() && !t.contains("\"bench\": \"server\"")
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    lines.extend(rows.iter().cloned());
-    let mut out = String::from("[\n");
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n]\n");
-    std::fs::write(path, out).expect("write BENCH_workload.json");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -246,6 +223,7 @@ fn main() {
         println!("smoke mode: skipping BENCH_workload.json");
         return;
     }
-    merge_into_workload_json(&rows);
+    mbxq_bench::merge_bench_rows("BENCH_workload.json", "server", &rows)
+        .expect("write BENCH_workload.json");
     println!("merged {} server rows into BENCH_workload.json", rows.len());
 }

@@ -264,32 +264,6 @@ fn run_cell(
     }
 }
 
-/// Replaces any previous shard_scaling rows in `BENCH_workload.json`
-/// with `rows` — the file is one JSON object per line, so the merge is
-/// line-based and leaves the single-store `workload` rows untouched.
-fn merge_into_workload_json(rows: &[String]) {
-    let path = "BENCH_workload.json";
-    let mut lines: Vec<String> = std::fs::read_to_string(path)
-        .map(|text| {
-            text.lines()
-                .map(|l| l.trim_end().trim_end_matches(',').to_string())
-                .filter(|l| {
-                    let t = l.trim();
-                    t != "["
-                        && t != "]"
-                        && !t.is_empty()
-                        && !t.contains("\"bench\": \"shard_scaling\"")
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    lines.extend(rows.iter().cloned());
-    let mut out = String::from("[\n");
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n]\n");
-    std::fs::write(path, out).expect("write BENCH_workload.json");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -434,7 +408,8 @@ fn main() {
         );
         rows.push(row);
     }
-    merge_into_workload_json(&rows);
+    mbxq_bench::merge_bench_rows("BENCH_workload.json", "shard_scaling", &rows)
+        .expect("write BENCH_workload.json");
     println!(
         "merged {} shard_scaling rows into BENCH_workload.json",
         rows.len()

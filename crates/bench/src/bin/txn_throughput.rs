@@ -14,7 +14,7 @@
 //! Usage: `cargo run -p mbxq-bench --release --bin txn_throughput [threads] [seconds]`
 
 use mbxq_storage::{InsertPosition, PagedDoc, TreeView};
-use mbxq_txn::{wal::Wal, AncestorLockMode, Store, StoreConfig};
+use mbxq_txn::{wal::Wal, AncestorLockMode, Shard, StoreConfig};
 use mbxq_xml::Document;
 use mbxq_xpath::XPath;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,7 +43,7 @@ fn build_doc(workers: usize) -> (PagedDoc, Vec<String>) {
 
 fn run_mode(mode: AncestorLockMode, workers: usize, secs: f64) -> (u64, u64) {
     let (doc, regions) = build_doc(workers);
-    let store = Store::open(
+    let store = Shard::open(
         doc,
         Wal::in_memory(),
         StoreConfig {

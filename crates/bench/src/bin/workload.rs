@@ -1,6 +1,7 @@
 //! Multi-threaded XMark mixed-workload driver — the concurrent-throughput
 //! measurement behind the short-publish commit pipeline and group-commit
-//! WAL batching. Emits `BENCH_workload.json`.
+//! WAL batching. Merges its rows into `BENCH_workload.json` (tagged
+//! `"bench": "workload"`).
 //!
 //! The paper's claim (§3.2, Figure 8) is that the pre/post plane stays
 //! *readable at full speed while being updated*: readers take snapshots
@@ -30,7 +31,7 @@
 
 use mbxq_storage::{InsertPosition, PageConfig, PagedDoc};
 use mbxq_txn::wal::Wal;
-use mbxq_txn::{AncestorLockMode, CommitPipeline, Store, StoreConfig};
+use mbxq_txn::{AncestorLockMode, CommitPipeline, Shard, StoreConfig};
 use mbxq_xmark::rng::StdRng;
 use mbxq_xmark::{generate, run_query_opts, XMarkConfig, QUERY_COUNT};
 use mbxq_xml::Document;
@@ -124,7 +125,7 @@ fn run_cell(
     // page locks.
     let doc =
         PagedDoc::parse_str(xml, PageConfig::new(256, 80).expect("valid")).expect("shred XMark");
-    let store = Store::open(
+    let store = Shard::open(
         doc,
         Wal::file(wal_path).expect("open file WAL"),
         StoreConfig {
@@ -482,11 +483,8 @@ fn main() {
         return;
     }
 
-    let mut json = String::from("[\n");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
+    let mut rows = Vec::with_capacity(cells.len());
+    for c in &cells {
         let avg_batch = if c.wal_batches > 0 {
             c.wal_records as f64 / c.wal_batches as f64
         } else {
@@ -504,9 +502,8 @@ fn main() {
             );
         }
         per_query.push(']');
-        let _ = write!(
-            json,
-            "  {{\"pipeline\": \"{}\", \"readers\": {}, \"writers\": {}, \
+        rows.push(format!(
+            "{{\"bench\": \"workload\", \"pipeline\": \"{}\", \"readers\": {}, \"writers\": {}, \
              \"query_threads\": {}, \"secs\": {}, \
              \"commits\": {}, \"timeouts\": {}, \"commits_per_s\": {:.1}, \
              \"commit_p50_us\": {:.2}, \"commit_p99_us\": {:.2}, \
@@ -534,9 +531,12 @@ fn main() {
             c.wal_max_batch,
             avg_batch,
             host = mbxq_bench::host_json_fields(),
-        );
+        ));
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_workload.json", &json).expect("write BENCH_workload.json");
-    println!("wrote BENCH_workload.json");
+    mbxq_bench::merge_bench_rows("BENCH_workload.json", "workload", &rows)
+        .expect("write BENCH_workload.json");
+    println!(
+        "merged {} workload rows into BENCH_workload.json",
+        rows.len()
+    );
 }

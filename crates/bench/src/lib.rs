@@ -56,9 +56,10 @@ pub fn host_json_fields() -> String {
 
 /// Merges freshly measured rows into a shared `BENCH_*.json` array:
 /// previous rows carrying the same `"bench"` tag are replaced, rows
-/// from other binaries are kept (both `plan_cost` and `multi_pred`
-/// write into `BENCH_plan.json`). Every row must be a single line —
-/// the merge is line-oriented.
+/// from other binaries are kept (`plan_cost` and `multi_pred` share
+/// `BENCH_plan.json`; `workload`, `server_bench` and `shard_scaling`
+/// share `BENCH_workload.json`). Every row must be a single line — the
+/// merge is line-oriented.
 pub fn merge_bench_rows(path: &str, tag: &str, rows: &[String]) -> std::io::Result<()> {
     let marker = format!("\"bench\": \"{tag}\"");
     let mut kept: Vec<String> = Vec::new();
@@ -244,3 +245,27 @@ pub const FIGURE9: [PaperRow; 20] = [
 
 /// Labels for the paper's four document sizes.
 pub const PAPER_SIZES: [&str; 4] = ["1.1 MB", "11 MB", "110 MB", "1.1 GB"];
+
+#[cfg(test)]
+mod tests {
+    use super::merge_bench_rows;
+
+    #[test]
+    fn merge_replaces_own_tag_keeps_others_drops_untagged() {
+        let path =
+            std::env::temp_dir().join(format!("mbxq_merge_rows_{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        std::fs::write(
+            path,
+            "[\n  {\"bench\": \"a\", \"v\": 1},\n  {\"bench\": \"b\", \"v\": 2},\n  {\"v\": 3}\n]\n",
+        )
+        .unwrap();
+        merge_bench_rows(path, "a", &["{\"bench\": \"a\", \"v\": 4}".to_string()]).unwrap();
+        let merged = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(
+            merged,
+            "[\n  {\"bench\": \"b\", \"v\": 2},\n  {\"bench\": \"a\", \"v\": 4}\n]\n"
+        );
+    }
+}

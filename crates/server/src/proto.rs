@@ -246,8 +246,7 @@ pub struct ServerStats {
     /// cardinality feedback diverged (or a replan was forced).
     pub replans: u64,
     /// Whether this server binary carries compiled vector instructions
-    /// (the `simd` feature on a supported target); when `false` the
-    /// Simd arm runs its scalar twin.
+    /// (x86_64); when `false` the Simd arm runs the scalar loop.
     pub simd_compiled: bool,
 }
 
@@ -928,7 +927,7 @@ mod tests {
                 multi_probe_steps: 5,
                 intersect_rows: 40,
                 replans: 2,
-                simd_compiled: cfg!(feature = "simd"),
+                simd_compiled: mbxq_xpath::simd_compiled(),
             },
         });
     }

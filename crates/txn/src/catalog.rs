@@ -482,8 +482,8 @@ impl Catalog {
     }
 
     /// Removes a document from the catalog and hands its parts —
-    /// document plus WAL — to the caller (the catalog-level replacement
-    /// for the deprecated `Store::into_parts`). Fails with
+    /// document plus WAL — to the caller (the catalog-level counterpart
+    /// of [`Shard::into_parts`]). Fails with
     /// [`TxnError::DocumentInUse`] while other [`Catalog::shard`]
     /// handles to it are alive. On durable catalogs the manifest
     /// rewrite commits the removal; the WAL *file* is left in place for

@@ -47,7 +47,7 @@ struct State {
     stats: GroupCommitStats,
 }
 
-/// The group-commit coordinator. One per [`crate::Store`].
+/// The group-commit coordinator. One per [`crate::Shard`].
 #[derive(Default)]
 pub struct GroupCommit {
     state: Mutex<State>,

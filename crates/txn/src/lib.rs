@@ -107,9 +107,8 @@ pub use group::GroupCommitStats;
 pub use pool::{PoolStats, QueryPool};
 pub use shard::{Shard, WriteTxn};
 
-use mbxq_storage::{PagedDoc, StorageError};
+use mbxq_storage::StorageError;
 use std::time::Duration;
-use wal::Wal;
 
 /// How a write transaction treats the pages of its targets' ancestors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,57 +323,13 @@ pub struct CheckpointInfo {
     pub wal_bytes_after: usize,
 }
 
-/// A transactional, versioned XML document store — the single-document
-/// compatibility facade over one [`Shard`].
-///
-/// `Store` derefs to its shard, so the entire shard API — snapshots,
-/// write transactions, queries, checkpoint/vacuum, statistics — is
-/// available on it unchanged. The shard owns a private [`QueryPool`];
-/// multi-document deployments use a [`Catalog`] instead, whose shards
-/// all share one pool.
-pub struct Store {
-    shard: Shard,
-}
-
-impl Store {
-    /// Opens a store over an already-shredded document.
-    pub fn open(doc: PagedDoc, wal: Wal, config: StoreConfig) -> Store {
-        Store {
-            shard: Shard::open(doc, wal, config),
-        }
-    }
-
-    /// Unwraps the compatibility facade into the [`Shard`] it holds.
-    /// Consuming shard operations (like [`Shard::into_parts`]) live
-    /// here, since a consuming call cannot travel through `Deref`.
-    pub fn into_shard(self) -> Shard {
-        self.shard
-    }
-
-    /// Tears the store down into its document and WAL.
-    #[deprecated(note = "use Catalog::export for catalog documents, \
-                Store::into_shard().into_parts() to keep this shape, or \
-                Shard::wal_raw when only the log bytes are needed")]
-    pub fn into_parts(self) -> (PagedDoc, Wal) {
-        self.shard.into_parts()
-    }
-}
-
-impl std::ops::Deref for Store {
-    type Target = Shard;
-
-    fn deref(&self) -> &Shard {
-        &self.shard
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::Op;
-    use crate::wal::WalRecord;
+    use crate::wal::{Wal, WalRecord};
     use mbxq_storage::serialize::to_xml;
-    use mbxq_storage::{InsertPosition, NodeId, PageConfig, TreeView};
+    use mbxq_storage::{InsertPosition, NodeId, PageConfig, PagedDoc, TreeView};
     use mbxq_xml::Document;
     use mbxq_xpath::XPath;
 
@@ -385,13 +340,13 @@ mod tests {
     /// tests need.
     const DOC: &str = r#"<site><people><person id="p0"><name>Ann</name></person></people><regions><africa><m1/><m2/><m3/><m4/><m5/></africa><asia><n1/><n2/></asia></regions></site>"#;
 
-    fn store(mode: AncestorLockMode) -> Store {
+    fn store(mode: AncestorLockMode) -> Shard {
         store_with(mode, CommitPipeline::Short)
     }
 
-    fn store_with(mode: AncestorLockMode, pipeline: CommitPipeline) -> Store {
+    fn store_with(mode: AncestorLockMode, pipeline: CommitPipeline) -> Shard {
         let doc = PagedDoc::parse_str(DOC, PageConfig::new(8, 75).unwrap()).unwrap();
-        Store::open(
+        Shard::open(
             doc,
             Wal::in_memory(),
             StoreConfig {
@@ -860,28 +815,5 @@ mod tests {
                 .count(),
             baseline.matches("person").count() + 5 // 5 self-closing elements
         );
-    }
-
-    /// The deprecated compatibility path must keep working (and agree
-    /// with the replacement) until it is removed.
-    #[test]
-    fn store_into_parts_compat() {
-        let s = store(AncestorLockMode::Delta);
-        let mut t = s.begin();
-        let person = t.select(&XPath::parse("//person").unwrap()).unwrap();
-        t.set_attribute(person[0], &mbxq_xml::QName::local("vip"), "yes")
-            .unwrap();
-        t.commit().unwrap();
-        let via_shard = s.wal_raw().unwrap();
-        let live = s.snapshot().used_count();
-        #[allow(deprecated)]
-        let (doc, wal) = s.into_parts();
-        assert_eq!(wal.raw().unwrap(), via_shard);
-        assert_eq!(doc.used_count(), live);
-
-        // And the successor spelling tears down identically.
-        let s2 = store(AncestorLockMode::Delta);
-        let (doc2, _) = s2.into_shard().into_parts();
-        assert_eq!(doc2.used_count(), doc.used_count());
     }
 }

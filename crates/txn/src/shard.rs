@@ -5,9 +5,8 @@
 //! pipeline gate, its own WAL and group-commit queue, the page-lock
 //! table, the layout epoch and the compiled-plan cache. A
 //! [`crate::Catalog`] holds many shards (one per document) and injects
-//! one shared [`QueryPool`] into all of them; the [`crate::Store`]
-//! compatibility wrapper holds exactly one with a private pool. The
-//! commit pipeline, locking protocol and maintenance operations are
+//! one shared [`QueryPool`] into all of them; a standalone shard
+//! ([`Shard::open`]) gets a private pool. The commit pipeline, locking protocol and maintenance operations are
 //! documented in the crate-level docs.
 
 use crate::pool::QueryPool;
@@ -35,8 +34,8 @@ struct Version {
 }
 
 /// A transactional, versioned XML document store — one document of a
-/// [`crate::Catalog`], or the whole store behind the [`crate::Store`]
-/// compatibility wrapper.
+/// [`crate::Catalog`], or a standalone store opened with
+/// [`Shard::open`].
 pub struct Shard {
     /// The document name under which a catalog opened this shard
     /// (`None` for a standalone store). Stamped into checkpoint dumps
@@ -77,7 +76,7 @@ pub struct Shard {
     plan_evictions: AtomicU64,
     /// Morsel-execution pool handle. Every shard of a catalog holds the
     /// *same* `Arc` (one set of worker threads per catalog, not per
-    /// document); a standalone [`crate::Store`] gets a private one.
+    /// document); a standalone shard gets a private one.
     /// Queries borrow the pool per evaluation; its workers outlive
     /// every snapshot they read because `run` blocks until all morsels
     /// finish.

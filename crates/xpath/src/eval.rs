@@ -1282,8 +1282,8 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     const MERGE_NS: u64 = 2_000;
 
     /// The scan-slot cost class of the active kernel arm. Forcing
-    /// [`KernelArm::Simd`] without compiled vector instructions runs
-    /// the hand-unrolled scalar twin, which costs like the scalar arm.
+    /// [`KernelArm::Simd`] without compiled vector instructions (off
+    /// x86_64) runs the scalar loop, which costs like the scalar arm.
     fn scan_slot_ns_x10(&self) -> u64 {
         if self.kernel == KernelArm::Simd && simd_compiled() {
             Self::SIMD_SLOT_NS_X10
@@ -1364,8 +1364,9 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     }
 
     /// Counts one scan-shaped operator dispatched to the vector kernel
-    /// arm (whether hardware simd or its scalar twin — the counter
-    /// tracks dispatch, [`simd_compiled`] tells which code ran).
+    /// arm (whether hardware simd or, off x86_64, the scalar loop —
+    /// the counter tracks dispatch, [`simd_compiled`] tells which code
+    /// ran).
     fn note_simd(&self) {
         if self.kernel == KernelArm::Simd {
             if let Some(stats) = self.stats {

@@ -320,9 +320,9 @@ impl PlanFeedback {
 /// [`KernelChoice::Auto`] picks the vectorized arm whenever this build
 /// compiled real vector instructions ([`simd_compiled`]); the forced
 /// arms exist for the kernel-equivalence oracle and the `par_scaling`
-/// micro-bench grid. Both arms are always available: without the
-/// `simd` feature the vectorized arm is a hand-unrolled scalar twin
-/// with identical results.
+/// micro-bench grid. Both arms are always available: the vectorized
+/// arm is SSE2 on x86_64 and falls back to the plain scalar loop on
+/// other architectures, with identical results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelChoice {
     /// [`KernelArm::auto`] (the default).
@@ -474,14 +474,14 @@ impl<'a> EvalOptions<'a> {
     }
 
     /// The worker pool parallel operators run on. Queries through
-    /// `Store::query_opts` get the store's shared pool injected
+    /// `Shard::query_opts` get the store's shared pool injected
     /// automatically; standalone evaluations pass one explicitly.
     pub fn pool(mut self, pool: &'a par::WorkerPool) -> Self {
         self.pool = Some(pool);
         self
     }
 
-    /// Sets the pool only if none is set yet — how a `Store` injects
+    /// Sets the pool only if none is set yet — how a `Shard` injects
     /// its shared pool without overriding an explicit caller choice.
     pub fn or_pool(mut self, pool: &'a par::WorkerPool) -> Self {
         if self.pool.is_none() {

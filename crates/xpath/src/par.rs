@@ -30,7 +30,7 @@
 //! morsel-driven balance: skewed morsels (one giant subtree region)
 //! keep one worker busy while the others drain the rest.
 //!
-//! One pool is shared per [`Store`](../../mbxq_txn/struct.Store.html)
+//! One pool is shared per [`Shard`](../../mbxq_txn/struct.Shard.html)
 //! and lives as long as the store: queries borrow it per evaluation,
 //! workers sleep on a condvar between runs, and `Drop` shuts them down.
 //! Concurrent submitters do not queue behind each other: if a run is

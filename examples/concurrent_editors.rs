@@ -14,7 +14,7 @@
 //! Run with: `cargo run --release --example concurrent_editors`
 
 use mbxq::{
-    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Store, StoreConfig, TreeView, Wal,
+    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Shard, StoreConfig, TreeView, Wal,
     XPath,
 };
 use mbxq_xml::Document;
@@ -39,7 +39,7 @@ fn main() {
 
     let doc = PagedDoc::parse_str(&xml, PageConfig::new(256, 80).unwrap()).unwrap();
     let baseline = doc.used_count();
-    let store = Store::open(
+    let store = Shard::open(
         doc,
         Wal::in_memory(),
         StoreConfig {

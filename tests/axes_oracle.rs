@@ -1,12 +1,14 @@
 //! Oracle tests for the staircase-join axis engine: every axis result on
 //! both relational schemas must equal a straightforward DOM evaluation
 //! on the owned tree, for random documents — including documents whose
-//! paged representation is riddled with holes from deletes.
+//! paged representation is riddled with holes from deletes. Every step
+//! runs on both chunk-kernel arms.
 
 mod common;
 
 use common::{rand_tree, to_xml_string, TestRng};
-use mbxq::{step, Axis, NaiveDoc, Node, NodeTest, PageConfig, PagedDoc, ReadOnlyDoc, TreeView};
+use mbxq::{Axis, NaiveDoc, Node, NodeTest, PageConfig, PagedDoc, ReadOnlyDoc, TreeView};
+use mbxq_axes::{step_with, KernelArm};
 
 /// DOM-side node identity: the index of the node in document order
 /// (elements and leaves alike), which equals the read-only pre rank.
@@ -118,16 +120,18 @@ fn check_axes<V: TreeView>(view: &V, root: &Node, label: &str) {
     let pres = dense_rank_map(view);
     for (ctx_idx, &ctx_pre) in pres.iter().enumerate() {
         for axis in ALL_AXES {
-            let got: Vec<u64> = step(view, &[ctx_pre], axis, &NodeTest::AnyNode);
-            let got_idx: Vec<usize> = got
-                .iter()
-                .map(|g| pres.binary_search(g).expect("result is a used slot"))
-                .collect();
             let want = dom_axis(root, ctx_idx, axis);
-            assert_eq!(
-                got_idx, want,
-                "{label} axis {axis:?} from node {ctx_idx} diverged"
-            );
+            for arm in [KernelArm::Scalar, KernelArm::Simd] {
+                let got: Vec<u64> = step_with(view, &[ctx_pre], axis, &NodeTest::AnyNode, arm);
+                let got_idx: Vec<usize> = got
+                    .iter()
+                    .map(|g| pres.binary_search(g).expect("result is a used slot"))
+                    .collect();
+                assert_eq!(
+                    got_idx, want,
+                    "{label} axis {axis:?} from node {ctx_idx} diverged on the {arm:?} arm"
+                );
+            }
         }
     }
 }

@@ -20,7 +20,7 @@ mod common;
 
 use common::{sectioned_xml, TestRng};
 use mbxq::{
-    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Store, StoreConfig, Wal, XPath,
+    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Shard, StoreConfig, Wal, XPath,
 };
 use mbxq_txn::wal::WalRecord;
 use mbxq_xml::Document;
@@ -35,7 +35,7 @@ fn cfg() -> PageConfig {
 /// against `section`, with ids derived from `(seed, writer)` so every
 /// insert is globally unique and attributable.
 #[allow(clippy::too_many_arguments)]
-fn run_writer(store: &Store, seed: u64, writer: usize, section: usize, txns: usize) -> (u64, u64) {
+fn run_writer(store: &Shard, seed: u64, writer: usize, section: usize, txns: usize) -> (u64, u64) {
     let mut rng = TestRng::new(seed ^ (writer as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let section_path = XPath::parse(&format!("/root/s{section}")).unwrap();
     let my_items = XPath::parse(&format!("/root/s{section}/p[@w='w{writer}']")).unwrap();
@@ -104,7 +104,7 @@ fn run_writer(store: &Store, seed: u64, writer: usize, section: usize, txns: usi
 fn check_seed(seed: u64, writers: usize, sections: usize) {
     let overlapping = sections < writers;
     let genesis = sectioned_xml(sections, 40, "");
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(&genesis, cfg()).unwrap(),
         Wal::in_memory(),
         StoreConfig {

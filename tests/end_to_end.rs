@@ -5,7 +5,7 @@
 mod common;
 
 use mbxq::{
-    Database, InsertPosition, PageConfig, PagedDoc, StorageMode, Store, StoreConfig, TreeView, Wal,
+    Database, InsertPosition, PageConfig, PagedDoc, Shard, StorageMode, StoreConfig, TreeView, Wal,
     XPath,
 };
 use mbxq_txn::recover::recover;
@@ -80,7 +80,7 @@ fn recovery_equals_live_state() {
     let wal_path = dir.join("e2e.wal");
     let _ = std::fs::remove_file(&wal_path);
 
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(&checkpoint, cfg).unwrap(),
         Wal::file(&wal_path).unwrap(),
         StoreConfig::default(),
@@ -123,7 +123,7 @@ fn concurrent_transactions_with_threads() {
         xml.push_str(&format!("</region{w}>"));
     }
     xml.push_str("</regions></site>");
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(&xml, PageConfig::new(256, 80).unwrap()).unwrap(),
         Wal::in_memory(),
         StoreConfig::default(),

@@ -2,13 +2,14 @@
 //! trees, `step_lifted` over a lifted context (one iteration per context
 //! node) must agree group-by-group with evaluating `step` once per node,
 //! and a single-iteration context must agree with the flat set-at-a-time
-//! `step` — on both the read-only and the paged storage schema.
+//! `step` — on both the read-only and the paged storage schema, and on
+//! both chunk-kernel arms.
 
 mod common;
 
 use common::{rand_tree, TestRng};
-use mbxq::{step, Axis, NodeTest, PageConfig, PagedDoc, ReadOnlyDoc, TreeView};
-use mbxq_axes::{step_lifted, ContextSeq};
+use mbxq::{Axis, NodeTest, PageConfig, PagedDoc, ReadOnlyDoc, TreeView};
+use mbxq_axes::{step_lifted_with, step_with, ContextSeq, KernelArm};
 
 const ALL_AXES: [Axis; 11] = [
     Axis::SelfAxis,
@@ -55,27 +56,46 @@ fn check_view<V: TreeView>(view: &V, rng: &mut TestRng, label: &str) {
         let ctx = random_context(rng, &pres);
         for axis in ALL_AXES {
             for test in &tests {
-                // Lifted with one iteration per context node ≡ per-node.
-                let lifted = step_lifted(view, &ContextSeq::lift(&ctx), axis, test);
-                for (i, &c) in ctx.iter().enumerate() {
-                    let per_node = step(view, &[c], axis, test);
-                    assert_eq!(
-                        lifted.pres_of_iter(i as u32),
-                        per_node.as_slice(),
-                        "{label}: axis {axis:?} iteration {i} diverged"
-                    );
+                for arm in [KernelArm::Scalar, KernelArm::Simd] {
+                    check_step(view, &ctx, axis, test, arm, label);
                 }
-                // Single iteration ≡ flat set-at-a-time step.
-                let single = step_lifted(view, &ContextSeq::single_iter(ctx.clone()), axis, test);
-                let flat = step(view, &ctx, axis, test);
-                assert_eq!(
-                    single.pres, flat,
-                    "{label}: axis {axis:?} single-iteration diverged from flat step"
-                );
-                assert!(single.iters.iter().all(|&i| i == 0));
             }
         }
     }
+}
+
+/// One axis step on one kernel arm: lifted with one iteration per
+/// context node ≡ per-node, and a single iteration ≡ the flat step.
+fn check_step<V: TreeView>(
+    view: &V,
+    ctx: &[u64],
+    axis: Axis,
+    test: &NodeTest,
+    arm: KernelArm,
+    label: &str,
+) {
+    let lifted = step_lifted_with(view, &ContextSeq::lift(ctx), axis, test, arm);
+    for (i, &c) in ctx.iter().enumerate() {
+        let per_node = step_with(view, &[c], axis, test, arm);
+        assert_eq!(
+            lifted.pres_of_iter(i as u32),
+            per_node.as_slice(),
+            "{label}: axis {axis:?} iteration {i} diverged on the {arm:?} arm"
+        );
+    }
+    let single = step_lifted_with(
+        view,
+        &ContextSeq::single_iter(ctx.to_vec()),
+        axis,
+        test,
+        arm,
+    );
+    let flat = step_with(view, ctx, axis, test, arm);
+    assert_eq!(
+        single.pres, flat,
+        "{label}: axis {axis:?} single-iteration diverged from flat step on the {arm:?} arm"
+    );
+    assert!(single.iters.iter().all(|&i| i == 0));
 }
 
 #[test]

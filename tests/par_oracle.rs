@@ -91,8 +91,8 @@ fn check_query<V: TreeView>(
         ),
     }
     // Kernel equivalence: both forced chunk-kernel arms must reproduce
-    // the auto-dispatched sequential result bit-for-bit (with the
-    // `simd` feature off, ForceSimd exercises the unrolled twin).
+    // the auto-dispatched sequential result bit-for-bit (off x86_64,
+    // ForceSimd falls back to the scalar loop).
     for (arm, kernel) in [
         ("scalar-kernel", KernelChoice::ForceScalar),
         ("simd-kernel", KernelChoice::ForceSimd),
@@ -361,18 +361,14 @@ fn chunk_kernels_agree_on_random_slice_offsets() {
     }
 }
 
-/// Guard for the feature chain: when the workspace is tested with
-/// `--features simd` on x86_64, the flag must actually reach the axes
-/// crate and light up the vector arm — a broken forward in any
-/// intermediate `Cargo.toml` would silently demote every "simd" run of
-/// this suite to the scalar twin.
+/// On x86_64 the vector arm is always compiled in, so the forced-simd
+/// runs of this suite really exercise the SSE2 kernels rather than the
+/// scalar fallback.
 #[test]
-fn umbrella_simd_feature_reaches_the_kernels() {
-    if cfg!(all(feature = "simd", target_arch = "x86_64")) {
-        assert!(
-            mbxq_axes::simd_compiled(),
-            "umbrella simd feature did not propagate to mbxq-axes"
-        );
+fn vector_arm_is_compiled_on_x86_64() {
+    if cfg!(target_arch = "x86_64") {
+        assert!(mbxq_axes::simd_compiled());
+        assert_eq!(mbxq_axes::KernelArm::auto(), mbxq_axes::KernelArm::Simd);
         assert_eq!(mbxq_axes::simd_width(), 16);
     } else {
         assert_eq!(mbxq_axes::simd_width(), 1);

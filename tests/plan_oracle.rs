@@ -7,7 +7,10 @@
 //! (cost-chosen, forced staircase, forced index); multi-predicate
 //! queries additionally cross every forced multi-probe strategy
 //! (scan / best-probe / intersect / cost) with every replan mode over
-//! a shared feedback store. The planned result must equal the
+//! a shared feedback store. Every combination runs on both chunk-kernel
+//! arms (forced scalar and forced simd), so the scalar reference arm
+//! stays checked on builds whose auto arm is the vector one. The
+//! planned result must equal the
 //! interpreter's on the same view — same node sets, same values, or
 //! both failing. Afterwards, random update batches hit the paged view
 //! and the comparison repeats, with the element-name index and the
@@ -21,8 +24,8 @@ use mbxq::{
     InsertPosition, Kind, NaiveDoc, Node, PageConfig, PagedDoc, QName, ReadOnlyDoc, TreeView,
 };
 use mbxq_xpath::{
-    AxisChoice, Bindings, EvalOptions, MultiChoice, PlanFeedback, ReplanMode, Value, ValueChoice,
-    XPath,
+    AxisChoice, Bindings, EvalOptions, KernelChoice, MultiChoice, PlanFeedback, ReplanMode, Value,
+    ValueChoice, XPath,
 };
 
 /// NaN-tolerant value equality (`NaN != NaN` under `PartialEq`, but the
@@ -34,11 +37,26 @@ fn values_equal(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// One comparison: planned (under every strategy-override combination)
-/// vs interpreted, same view.
+/// One comparison: planned (under every strategy-override combination,
+/// on both kernel arms) vs interpreted, same view.
 fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info: &str) {
     let root: Vec<u64> = view.root_pre().into_iter().collect();
     let want = xp.eval_interpreted_with(view, &root, bindings);
+    for kernel in [KernelChoice::ForceScalar, KernelChoice::ForceSimd] {
+        check_strategies(view, xp, bindings, &root, &want, kernel, seed_info);
+    }
+}
+
+/// [`check_query`]'s strategy grid on one kernel arm.
+fn check_strategies<V: TreeView>(
+    view: &V,
+    xp: &XPath,
+    bindings: &Bindings,
+    root: &[u64],
+    want: &Result<Value, mbxq_xpath::XPathError>,
+    kernel: KernelChoice,
+    seed_info: &str,
+) {
     for (axis, value) in [
         (AxisChoice::Auto, ValueChoice::Auto),
         (AxisChoice::Auto, ValueChoice::ForceScan),
@@ -49,12 +67,13 @@ fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info
         let opts = EvalOptions::new()
             .bindings(bindings)
             .axis(axis)
-            .value(value);
-        let got = xp.eval_opts(view, &root, &opts);
-        match (&want, &got) {
+            .value(value)
+            .kernel(kernel);
+        let got = xp.eval_opts(view, root, &opts);
+        match (want, &got) {
             (Ok(w), Ok(g)) => assert!(
                 values_equal(w, g),
-                "{seed_info}: '{}' under {axis:?}/{value:?}\n  interpreter: {w:?}\n  \
+                "{seed_info}: '{}' under {axis:?}/{value:?}/{kernel:?}\n  interpreter: {w:?}\n  \
                  planned:     {g:?}\nlogical plan:\n{}physical plan:\n{}",
                 xp.source(),
                 xp.explain(),
@@ -62,15 +81,16 @@ fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info
             ),
             (Err(_), Err(_)) => {}
             (w, g) => panic!(
-                "{seed_info}: '{}' under {axis:?}/{value:?} diverged in failure: \
+                "{seed_info}: '{}' under {axis:?}/{value:?}/{kernel:?} diverged in failure: \
                  interpreter {w:?} vs planned {g:?}",
                 xp.source()
             ),
         }
     }
     // Multi-predicate steps: cross every forced strategy with every
-    // replan mode, sharing one feedback store so the Skip/Force modes
-    // really reuse (or re-derive) what an earlier Auto run recorded.
+    // replan mode, sharing one feedback store (per kernel arm) so the
+    // Skip/Force modes really reuse (or re-derive) what an earlier Auto
+    // run recorded.
     if !xp.explain_physical().contains("multi-probe") {
         return;
     }
@@ -87,19 +107,20 @@ fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info
             .bindings(bindings)
             .multi(multi)
             .replan(replan)
-            .feedback(&feedback);
-        let got = xp.eval_opts(view, &root, &opts);
-        match (&want, &got) {
+            .feedback(&feedback)
+            .kernel(kernel);
+        let got = xp.eval_opts(view, root, &opts);
+        match (want, &got) {
             (Ok(w), Ok(g)) => assert!(
                 values_equal(w, g),
-                "{seed_info}: '{}' under {multi:?}/{replan:?}\n  interpreter: {w:?}\n  \
+                "{seed_info}: '{}' under {multi:?}/{replan:?}/{kernel:?}\n  interpreter: {w:?}\n  \
                  planned:     {g:?}\nphysical plan:\n{}",
                 xp.source(),
                 xp.explain_physical()
             ),
             (Err(_), Err(_)) => {}
             (w, g) => panic!(
-                "{seed_info}: '{}' under {multi:?}/{replan:?} diverged in failure: \
+                "{seed_info}: '{}' under {multi:?}/{replan:?}/{kernel:?} diverged in failure: \
                  interpreter {w:?} vs planned {g:?}",
                 xp.source()
             ),

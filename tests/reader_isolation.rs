@@ -1,7 +1,7 @@
 //! Reader isolation under concurrent commits, checkpoints and vacuum.
 //!
 //! The tentpole guarantee of the short-publish pipeline: readers take
-//! [`mbxq::Store::snapshot`] through a lock-free cell and keep a frozen,
+//! [`mbxq::Shard::snapshot`] through a lock-free cell and keep a frozen,
 //! fully consistent version for as long as they like — no commit,
 //! checkpoint truncation, pool compaction or page reorganization may
 //! ever show through a pinned snapshot, and every version the store
@@ -11,7 +11,7 @@ mod common;
 
 use common::sectioned_xml;
 use mbxq::{
-    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Store, StoreConfig, TxnError, Wal,
+    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Shard, StoreConfig, TxnError, Wal,
     XPath,
 };
 use mbxq_xml::Document;
@@ -20,7 +20,7 @@ use std::time::Duration;
 
 #[test]
 fn pinned_snapshots_never_change_mid_query() {
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(
             &sectioned_xml(4, 60, "<t>x</t>"),
             PageConfig::new(32, 75).unwrap(),
@@ -183,7 +183,7 @@ fn pinned_snapshots_never_change_mid_query() {
 /// never show through a pinned `Arc`.
 #[test]
 fn snapshots_survive_checkpoint_and_vacuum_exactly() {
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(
             &sectioned_xml(2, 30, "<t>x</t>"),
             PageConfig::new(16, 75).unwrap(),

@@ -16,7 +16,7 @@ mod common;
 
 use common::TestRng;
 use mbxq::{
-    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Store, StoreConfig, TreeView, XPath,
+    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Shard, StoreConfig, TreeView, XPath,
 };
 use mbxq_txn::recover::recover;
 use mbxq_txn::wal::Wal;
@@ -33,13 +33,13 @@ fn cfg() -> PageConfig {
     PageConfig::new(16, 75).unwrap()
 }
 
-fn open_store(crash_at: Option<usize>) -> Store {
+fn open_store(crash_at: Option<usize>) -> Shard {
     let doc = PagedDoc::parse_str(GENESIS, cfg()).unwrap();
     let mut wal = Wal::in_memory();
     if let Some(limit) = crash_at {
         wal.crash_after_bytes(limit);
     }
-    Store::open(
+    Shard::open(
         doc,
         wal,
         StoreConfig {
@@ -159,7 +159,7 @@ fn recovery_across_checkpoints_reproduces_the_committed_prefix() {
 #[test]
 fn checkpoint_survives_adjacent_text_tuples() {
     let genesis = "<root><d>hello <kw/> world</d></root>";
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(genesis, cfg()).unwrap(),
         Wal::in_memory(),
         StoreConfig {
@@ -225,7 +225,7 @@ fn crash_inside_group_commit_batches_keeps_per_commit_atomicity() {
 
     // Calibrate the crash offsets against an intact concurrent run.
     let intact_len = {
-        let store = Store::open(
+        let store = Shard::open(
             PagedDoc::parse_str(&genesis, cfg).unwrap(),
             Wal::in_memory(),
             StoreConfig {
@@ -242,7 +242,7 @@ fn crash_inside_group_commit_batches_keeps_per_commit_atomicity() {
     let mut rng = TestRng::new(0xba7c4);
     for probe in 0..8 {
         let crash_at = 1 + rng.below(intact_len);
-        let store = Store::open(
+        let store = Shard::open(
             PagedDoc::parse_str(&genesis, cfg).unwrap(),
             {
                 let mut wal = Wal::in_memory();
@@ -278,7 +278,7 @@ fn crash_inside_group_commit_batches_keeps_per_commit_atomicity() {
 /// Spawns `writers` threads, each committing a run of single-insert
 /// transactions with globally unique ids into its own section. Returns
 /// `(id, commit-reported-success)` for every attempted transaction.
-fn run_concurrent_writers(store: &Store, writers: usize, tag: usize) -> Vec<(String, bool)> {
+fn run_concurrent_writers(store: &Shard, writers: usize, tag: usize) -> Vec<(String, bool)> {
     let results = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for w in 0..writers {

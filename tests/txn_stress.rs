@@ -7,7 +7,7 @@ mod common;
 
 use common::sectioned_xml;
 use mbxq::{
-    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Store, StoreConfig, TreeView, Wal,
+    AncestorLockMode, InsertPosition, PageConfig, PagedDoc, Shard, StoreConfig, TreeView, Wal,
     XPath,
 };
 use mbxq_txn::recover::recover;
@@ -22,7 +22,7 @@ fn conflicting_writers_all_conflicts_resolve() {
     // serialization; every transaction must eventually commit or time
     // out cleanly (no deadlock, no corruption).
     let xml = sectioned_xml(1, 100, "");
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(&xml, PageConfig::new(64, 80).unwrap()).unwrap(),
         Wal::in_memory(),
         StoreConfig {
@@ -80,7 +80,7 @@ fn mixed_workload_matches_recovery_under_concurrency() {
     // reproduce the exact final document even though commit order was
     // decided by the races.
     let xml = sectioned_xml(4, 120, "");
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(&xml, PageConfig::new(128, 80).unwrap()).unwrap(),
         Wal::in_memory(),
         StoreConfig {
@@ -141,7 +141,7 @@ fn mixed_workload_matches_recovery_under_concurrency() {
 #[test]
 fn lock_storm_leaves_an_empty_lock_table() {
     let xml = sectioned_xml(3, 80, "");
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(&xml, PageConfig::new(32, 80).unwrap()).unwrap(),
         Wal::in_memory(),
         StoreConfig {
@@ -263,7 +263,7 @@ fn lock_storm_leaves_an_empty_lock_table() {
 #[test]
 fn parallel_queries_race_commits_checkpoint_and_vacuum() {
     let xml = sectioned_xml(4, 120, "");
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(&xml, PageConfig::new(64, 80).unwrap()).unwrap(),
         Wal::in_memory(),
         StoreConfig {
@@ -414,7 +414,7 @@ fn parallel_queries_race_commits_checkpoint_and_vacuum() {
 #[test]
 fn aborts_release_locks_for_others() {
     let xml = sectioned_xml(1, 50, "");
-    let store = Store::open(
+    let store = Shard::open(
         PagedDoc::parse_str(&xml, PageConfig::new(64, 80).unwrap()).unwrap(),
         Wal::in_memory(),
         StoreConfig {
